@@ -10,56 +10,8 @@
 //! a version skew between client and daemon binaries is caught at submit
 //! time — not after a store full of mismatched bytes.
 
-use std::io::{BufRead, BufReader, Lines, Write as _};
-use std::net::TcpStream;
-
 use super::protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA_V2};
-
-/// One `/2` control connection, from handshake to drop.
-struct Control {
-    stream: TcpStream,
-    lines: Lines<BufReader<TcpStream>>,
-}
-
-impl Control {
-    fn connect(addr: &str, client: &str) -> Result<Self, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        let reader = stream
-            .try_clone()
-            .map_err(|e| format!("clone connection: {e}"))?;
-        let mut control = Self {
-            stream,
-            lines: BufReader::new(reader).lines(),
-        };
-        control.send(&Msg::Hello {
-            schema: FABRIC_SCHEMA_V2.into(),
-            worker: client.into(),
-            fingerprint: String::new(),
-        })?;
-        match control.recv()? {
-            Msg::Welcome { .. } => Ok(control),
-            Msg::Reject { reason } => Err(format!("{addr}: rejected: {reason}")),
-            other => Err(format!("{addr}: unexpected handshake reply {other:?}")),
-        }
-    }
-
-    fn send(&mut self, msg: &Msg) -> Result<(), String> {
-        self.stream
-            .write_all(msg.encode().as_bytes())
-            .and_then(|_| self.stream.write_all(b"\n"))
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| format!("send: {e}"))
-    }
-
-    fn recv(&mut self) -> Result<Msg, String> {
-        let line = self
-            .lines
-            .next()
-            .ok_or("server closed the connection")?
-            .map_err(|e| format!("read: {e}"))?;
-        Msg::decode(&line)
-    }
-}
+use super::worker::connect_session;
 
 /// What the daemon admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,7 +86,7 @@ pub fn submit_campaign(
 ) -> Result<SubmitOutcome, String> {
     let spec = desc.build()?;
     let fingerprint = format!("{:016x}", spec.fingerprint());
-    let mut control = Control::connect(addr, client)?;
+    let mut control = connect_session(addr, client, FABRIC_SCHEMA_V2, "", None)?;
     control.send(&Msg::Submit {
         client: client.into(),
         spec: desc.clone(),
@@ -152,7 +104,7 @@ pub fn submit_campaign(
 /// Query the daemon's status plane: the queue summary plus every job's row
 /// (or just `job`'s, when set).
 pub fn query_status(addr: &str, client: &str, job: Option<u64>) -> Result<QueueStatus, String> {
-    let mut control = Control::connect(addr, client)?;
+    let mut control = connect_session(addr, client, FABRIC_SCHEMA_V2, "", None)?;
     control.send(&Msg::Status { job })?;
     let mut status = match control.recv()? {
         Msg::StatusReport {
@@ -210,7 +162,7 @@ pub fn query_status(addr: &str, client: &str, job: Option<u64>) -> Result<QueueS
 /// Cancel `job` on the daemon at `addr`. Returns the resulting lifecycle
 /// state label (always `cancelled` today).
 pub fn cancel_job(addr: &str, client: &str, job: u64) -> Result<String, String> {
-    let mut control = Control::connect(addr, client)?;
+    let mut control = connect_session(addr, client, FABRIC_SCHEMA_V2, "", None)?;
     control.send(&Msg::Cancel { job })?;
     let outcome = match control.recv()? {
         Msg::Cancelled { job: j, state } if j == job => Ok(state),

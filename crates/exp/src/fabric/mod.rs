@@ -25,7 +25,7 @@
 //! cells whose worker died (deterministic seeds make a re-run exact), and
 //! appends results to the store in canonical order, so a completed serve
 //! store is *also* byte-identical to the single-host run.
-
+//!
 //! The fabric is WAN-hardened end to end: workers reconnect with capped
 //! jittered backoff and resubmit completed results idempotently, lease
 //! heartbeats ([`Msg::Renew`]) keep slow-but-alive cells from being
@@ -34,13 +34,18 @@
 //! deterministic WAN faults between the two so the byte-identity contract
 //! is pinned under fire, not just in fair weather.
 //!
-//! On top of the single-campaign lease loop sits the submission plane
-//! (`stabcon-fabric/2`): the daemon holds a durable multi-campaign
-//! [`queue::JobQueue`] — submissions over the wire with per-client
-//! admission quotas, FIFO activation, round-robin leasing across running
-//! campaigns, a live status endpoint, and a crash-replayable
-//! `stabcon-jobs/1` journal — while `/1` workers keep speaking the
-//! original pinned protocol unchanged.
+//! There is one server loop and one worker loop. The daemon always holds
+//! a durable multi-campaign [`queue::JobQueue`] (`stabcon-fabric/2`:
+//! submissions over the wire with per-client admission quotas, FIFO
+//! activation, round-robin leasing across running campaigns, a live status
+//! endpoint, and a crash-replayable `stabcon-jobs/1` journal). A
+//! single-campaign [`Server`] is that same loop with its campaign admitted
+//! as the only job and no journal. On the worker side, [`run_worker`]
+//! (pinned to one campaign by the `/1` handshake) and [`run_worker_any`]
+//! (any campaign, per-job descriptors in `/2` leases) are entry points
+//! into one reconnect loop and one session loop. The `/1` frames and the
+//! version-negotiating handshake remain because the benchmark's probes
+//! and `served-cells` workload speak them.
 
 pub mod chaos;
 pub mod client;
@@ -56,8 +61,8 @@ pub use client::{cancel_job, query_status, submit_campaign, JobInfo, QueueStatus
 pub use merge::{merge_stores, MergeOutcome};
 pub use protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
 pub use queue::{
-    job_store_path, jobs_journal_path, open_journal, JobQueue, JobState, JournalEvent,
-    QueueConfig, Rejection, JOBS_SCHEMA,
+    job_store_path, jobs_journal_path, open_journal, JobQueue, JobState, JournalEvent, QueueConfig,
+    Rejection, JOBS_SCHEMA,
 };
 pub use serve::{
     Ingest, Parked, QueueOutcome, QueueServeConfig, QueueServer, ServeConfig, ServeOutcome,

@@ -64,6 +64,8 @@
 //! verifies the per-campaign fingerprint before running a single trial —
 //! the `/1` handshake contract, moved from connection scope to job scope.
 
+use std::io::Write;
+
 use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 
 /// Version tag a worker sends in its [`Msg::Hello`]; the server rejects any
@@ -669,6 +671,16 @@ impl Msg {
     }
 }
 
+/// Write one frame: the encoded message and its `\n` in a single
+/// `write_all`, then flush. Every sender on either side of the wire goes
+/// through here, so a frame never leaves as two writes.
+pub fn write_frame(w: &mut impl Write, msg: &Msg) -> std::io::Result<()> {
+    let mut frame = msg.encode();
+    frame.push('\n');
+    w.write_all(frame.as_bytes())?;
+    w.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,9 +824,11 @@ mod tests {
         .unwrap_err()
         .contains("trials"));
         // /2: status_report requires a real boolean.
-        assert!(Msg::decode("{\"kind\": \"status_report\", \"accepting\": 1}")
-            .unwrap_err()
-            .contains("accepting"));
+        assert!(
+            Msg::decode("{\"kind\": \"status_report\", \"accepting\": 1}")
+                .unwrap_err()
+                .contains("accepting")
+        );
     }
 
     #[test]

@@ -100,14 +100,20 @@ pub fn parse_ns(s: &str) -> Result<Vec<usize>, String> {
 /// Per-job store path: `<out>.job-<id>.jsonl`, next to the journal (the
 /// same derived-path discipline as [`super::shard::shard_store_path`]).
 pub fn job_store_path(out: &Path, job: u64) -> PathBuf {
-    let mut name = out.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = out
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(format!(".job-{job}.jsonl"));
     out.with_file_name(name)
 }
 
 /// Journal path for a queue rooted at `out`: `<out>.jobs.jsonl`.
 pub fn jobs_journal_path(out: &Path) -> PathBuf {
-    let mut name = out.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = out
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(".jobs.jsonl");
     out.with_file_name(name)
 }
@@ -343,11 +349,6 @@ impl JobQueue {
         self.halted = true;
     }
 
-    /// The configured lease duration.
-    pub fn lease(&self) -> Duration {
-        self.cfg.lease
-    }
-
     /// Look up one job.
     pub fn job(&self, id: u64) -> Option<&Job> {
         self.jobs.get(&id)
@@ -439,8 +440,35 @@ impl JobQueue {
             ));
         }
         let id = self.next_id;
-        self.insert_job(id, client, descriptor.clone(), fingerprint, cells, Some(spec));
+        self.insert_job(
+            id,
+            client,
+            descriptor.clone(),
+            fingerprint,
+            cells,
+            Some(spec),
+        );
         Ok((id, cells))
+    }
+
+    /// Admit the campaign a single-campaign daemon was started with: no
+    /// submission, no quota, no journal. Its descriptor stays empty — such
+    /// a daemon refuses `/2` sessions, so no `Lease2` ever ships it.
+    /// `resume` re-opens an existing store instead of refusing it.
+    pub fn admit_spec(&mut self, spec: CampaignSpec, resume: bool) -> u64 {
+        let id = self.next_id;
+        let header = spec.header();
+        let desc = SpecDescriptor::default();
+        self.insert_job(
+            id,
+            &header.name,
+            desc,
+            header.fingerprint,
+            header.cells,
+            Some(spec),
+        );
+        self.jobs.get_mut(&id).expect("just inserted").resume_store = resume;
+        id
     }
 
     /// Insert a job in [`JobState::Queued`] with a fixed id (shared by
@@ -626,7 +654,11 @@ impl JobQueue {
         }
         match self.jobs.get_mut(&id) {
             Some(job) if job.state.active() => {
-                let msg = job.cells.as_mut().expect("active job has cells").claim(conn, now);
+                let msg = job
+                    .cells
+                    .as_mut()
+                    .expect("active job has cells")
+                    .claim(conn, now);
                 self.refresh_state(id, now);
                 msg
             }
@@ -652,7 +684,14 @@ impl JobQueue {
     /// Ingest one result frame for one job. Results for unknown or
     /// non-active jobs are ignored idempotently (a cancelled job's workers
     /// limp home late; that is not an error).
-    pub fn ingest(&mut self, id: u64, cell: u64, parked: Parked, id_ok: bool, now: Instant) -> Ingest {
+    pub fn ingest(
+        &mut self,
+        id: u64,
+        cell: u64,
+        parked: Parked,
+        id_ok: bool,
+        now: Instant,
+    ) -> Ingest {
         let trials = parked.trials;
         match self.jobs.get_mut(&id) {
             Some(job) if job.state.active() => {
@@ -1025,8 +1064,7 @@ pub fn open_journal(
         let (loaded, valid_len) = load_journal(path)?;
         if valid_len == 0 {
             // Nothing valid survived: restart the journal.
-            let mut f =
-                std::fs::File::create(path).map_err(|e| format!("create journal: {e}"))?;
+            let mut f = std::fs::File::create(path).map_err(|e| format!("create journal: {e}"))?;
             append_line(&mut f, &journal_header()).map_err(|e| format!("write header: {e}"))?;
             f
         } else {
@@ -1361,8 +1399,7 @@ mod tests {
             state: JobState::Running,
         };
         {
-            let (mut w, events) =
-                open_journal(&path, false, Durability::Cell).expect("fresh open");
+            let (mut w, events) = open_journal(&path, false, Durability::Cell).expect("fresh open");
             assert!(events.is_empty());
             w.append(&event.to_line()).expect("append");
             w.finish().expect("finish");

@@ -1,27 +1,34 @@
 //! The `stabcon serve` daemon: lease cells to connecting workers, re-claim
 //! leases whose worker died, and assemble the canonical store.
 //!
-//! The server is the online counterpart of the batch shard/merge flow. It
-//! expands the campaign once, validates every worker's grid fingerprint in
-//! the [`super::protocol`] handshake, then hands out cell *ids* under
-//! expiring leases. Because every cell line is a pure function of its spec,
-//! a dead host costs nothing but wall clock: its leased cells return to the
-//! pending set (on disconnect immediately, on a hang when the lease
-//! expires) and the re-run by another worker produces the identical bytes.
-//! A *slow* worker is not a dead one: [`Msg::Renew`] heartbeats push the
-//! lease deadline out while the cell runs, so only workers that stop
-//! heartbeating lose their lease. Duplicate results — the original worker
-//! limping back (possibly over a fresh connection) after its result was
-//! already ingested — are deduplicated; first ingest wins and is exact,
-//! and the dedupe count is reported in the [`ServeOutcome`].
+//! There is one daemon loop. A [`QueueServer`] (`stabcon serve --queue`)
+//! runs it over a durable multi-campaign [`JobQueue`]; a [`Server`]
+//! (`stabcon serve --preset …`) runs the same accept loop and connection
+//! handler with its campaign admitted as the queue's only job, no journal,
+//! and the store at the given path. Either way every running campaign's
+//! cell bookkeeping is a [`ServeState`].
+//!
+//! Workers expand the campaign themselves and prove it with the grid
+//! fingerprint (in the `/1` handshake, or per job in each `/2` lease), so
+//! only cell *ids* cross the wire. Because every cell line is a pure
+//! function of its spec, a dead host costs nothing but wall clock: its
+//! leased cells return to the pending set (on disconnect immediately, on a
+//! hang when the lease expires) and the re-run by another worker produces
+//! the identical bytes. A *slow* worker is not a dead one: [`Msg::Renew`]
+//! heartbeats push the lease deadline out while the cell runs, so only
+//! workers that stop heartbeating lose their lease. Duplicate results —
+//! the original worker limping back (possibly over a fresh connection)
+//! after its result was already ingested — are deduplicated; first ingest
+//! wins and is exact, and the dedupe count is reported in the
+//! [`ServeOutcome`].
 //!
 //! All lease deadlines are [`Instant`]s — the OS **monotonic** clock — so a
 //! wall-clock step (NTP correction, manual `date`, DST) can never
 //! mass-expire live leases or stretch them indefinitely.
 //!
 //! The lease/park/flush bookkeeping lives in [`ServeState`], a pure state
-//! machine decoupled from sockets and files: the connection handlers
-//! translate wire frames into state transitions, and property tests drive
+//! machine decoupled from sockets and files: the connection handler
+//! translates wire frames into state transitions, and property tests drive
 //! arbitrary hostile interleavings (duplicate results, reconnects, expired
 //! leases) against [`ServeState::check_invariants`] directly.
 //!
@@ -34,8 +41,8 @@
 //! server restarted with `--resume` repairs any torn tail on open and
 //! finishes the campaign.
 //!
-//! Worker telemetry frames ([`Msg::Telemetry`]) are ingested as the live
-//! progress stream — but only lines that fully validate as
+//! Worker telemetry frames ([`Msg::Telemetry`]) feed a single-campaign
+//! daemon's `--telemetry` sink — but only lines that fully validate as
 //! `stabcon-telemetry/1` records (shipped worker sink *headers* and torn or
 //! malformed lines are dropped and counted), so a hostile or desynced
 //! worker can never corrupt the server's sink.
@@ -52,10 +59,10 @@ use std::time::{Duration, Instant};
 use stabcon_util::jsonl::{get, parse_flat, JsonObj, JsonScalar};
 
 use crate::campaign::CampaignSpec;
-use crate::store::{self, Durability, StoreHeader, StoreWriter};
+use crate::store::{self, Durability, StoreWriter};
 use crate::telemetry::{self, TELEMETRY_SCHEMA};
 
-use super::protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
 use super::queue::{
     job_store_path, jobs_journal_path, open_journal, Job, JobQueue, JobState, JournalEvent,
     QueueConfig,
@@ -162,8 +169,6 @@ pub struct ServeState {
     cursor: u64,
     total: u64,
     lease: Duration,
-    /// Workers whose handshake succeeded.
-    pub workers_seen: u64,
     /// Leases returned to pending (disconnect or expiry).
     pub leases_reclaimed: u64,
     /// Heartbeat extensions honored.
@@ -172,10 +177,6 @@ pub struct ServeState {
     pub results_deduped: u64,
     /// Result frames rejected for id mismatch.
     pub results_rejected: u64,
-    /// Telemetry lines dropped by record validation.
-    pub telemetry_dropped: u64,
-    /// Graceful-drain goodbyes received.
-    pub goodbyes: u64,
     /// Results accepted (parked) by this invocation.
     pub cells_ingested: u64,
 }
@@ -196,13 +197,10 @@ impl ServeState {
             cursor,
             total,
             lease,
-            workers_seen: 0,
             leases_reclaimed: 0,
             leases_renewed: 0,
             results_deduped: 0,
             results_rejected: 0,
-            telemetry_dropped: 0,
-            goodbyes: 0,
             cells_ingested: 0,
         }
     }
@@ -215,11 +213,6 @@ impl ServeState {
     /// Cells flushed so far.
     pub fn written_len(&self) -> u64 {
         self.written.len() as u64
-    }
-
-    /// Total cells in the grid.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Cells nobody is working on.
@@ -235,11 +228,6 @@ impl ServeState {
     /// Ingested cells waiting for their flush turn.
     pub fn parked_len(&self) -> u64 {
         self.parked.len() as u64
-    }
-
-    /// Whether `cell` is currently leased, and to which connection.
-    pub fn lease_holder(&self, cell: u64) -> Option<u64> {
-        self.leases.get(&cell).map(|&(conn, _)| conn)
     }
 
     /// Answer a claim from `conn` at monotonic time `now`.
@@ -382,53 +370,23 @@ impl ServeState {
     }
 }
 
-/// Everything the accept loop and the per-connection handlers share: the
-/// pure state machine plus the I/O it drives.
-struct Shared {
-    state: ServeState,
-    store: StoreWriter,
-    timings: File,
-    sink: Option<File>,
-    progress: bool,
-}
-
-impl Shared {
-    /// Flush parked results that extend the store's contiguous prefix.
-    fn flush(&mut self) -> Result<(), String> {
-        while let Some((cell, r)) = self.state.pop_flushable() {
-            self.store
-                .append(&r.line)
-                .map_err(|e| format!("append cell {cell}: {e}"))?;
-            telemetry::append_timing(&mut self.timings, cell, r.trials, r.elapsed_secs)?;
-        }
-        Ok(())
-    }
-}
-
-/// A bound (but not yet running) serve daemon.
+/// A bound (but not yet running) single-campaign daemon
+/// (`stabcon serve --preset …`).
 pub struct Server {
     listener: TcpListener,
-    header: StoreHeader,
-    campaign: String,
+    spec: CampaignSpec,
     store_path: PathBuf,
 }
 
-fn send(stream: &mut TcpStream, msg: &Msg) -> std::io::Result<()> {
-    stream.write_all(msg.encode().as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
 impl Server {
-    /// Bind the daemon: expand `spec` (the fingerprint every worker must
-    /// match) and listen on `addr` (`host:port`; port 0 picks a free one —
-    /// read it back with [`Server::local_addr`]).
+    /// Bind the daemon: `spec` is the campaign (its grid fingerprint is what
+    /// every worker must match) and `addr` is `host:port`; port 0 picks a
+    /// free one — read it back with [`Server::local_addr`].
     pub fn bind(addr: &str, spec: &CampaignSpec, store: &Path) -> Result<Self, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("serve: bind {addr}: {e}"))?;
         Ok(Self {
             listener,
-            header: spec.header(),
-            campaign: spec.name.clone(),
+            spec: spec.clone(),
             store_path: store.to_path_buf(),
         })
     }
@@ -442,255 +400,57 @@ impl Server {
 
     /// Run until every cell of the grid is in the store, then return.
     ///
-    /// Accepts connections forever while running; each worker gets a
-    /// handler thread. A worker that disconnects mid-lease has its cells
-    /// re-claimed immediately; one that stops heartbeating loses them when
-    /// the lease expires.
+    /// This is the queue daemon's accept loop and connection handler with
+    /// the campaign admitted as its only job: no journal, the store at the
+    /// given path, and `/1` workers pinned to the job by their handshake.
+    /// A worker that disconnects mid-lease has its cells re-claimed
+    /// immediately; one that stops heartbeating loses them when the lease
+    /// expires. Returns on the first tick after the store is finished.
     pub fn run(self, cfg: &ServeConfig) -> Result<ServeOutcome, String> {
-        let (file, done) =
-            store::open_for_append(&self.store_path, &self.header, cfg.resume, cfg.durability)?;
-        let timings = telemetry::open_timings(&self.store_path, cfg.resume)?;
-        let total = self.header.cells;
-        let cells_skipped = done.len() as u64;
-        let sink = match &cfg.telemetry {
-            Some(p) => {
-                let mut f = File::create(p)
-                    .map_err(|e| format!("{}: create telemetry sink: {e}", p.display()))?;
-                let header = JsonObj::new()
-                    .str_field("schema", TELEMETRY_SCHEMA)
-                    .str_field("campaign", &self.campaign)
-                    .u64_field("threads", 0)
-                    .u64_field("cells", total)
-                    .u64_field(
-                        "trials_planned",
-                        (total - cells_skipped) * self.header.trials,
-                    )
-                    .finish();
-                writeln!(f, "{header}")
-                    .map_err(|e| format!("{}: write telemetry header: {e}", p.display()))?;
-                Some(f)
-            }
-            None => None,
-        };
-
-        let shared = Arc::new(Mutex::new(Shared {
-            state: ServeState::new(total, done, cfg.lease),
-            store: file,
-            timings,
-            sink,
-            progress: cfg.progress,
-        }));
-
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("serve: set_nonblocking: {e}"))?;
-        let fingerprint = format!("{:016x}", self.header.fingerprint);
-        let mut conn_id = 0u64;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    conn_id += 1;
-                    let conn = conn_id;
-                    let shared = Arc::clone(&shared);
-                    let fingerprint = fingerprint.clone();
-                    let campaign = self.campaign.clone();
-                    std::thread::spawn(move || {
-                        handle_worker(stream, conn, &shared, &fingerprint, &campaign);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(format!("serve: accept: {e}")),
-            }
-            {
-                let mut s = shared.lock().map_err(|_| "serve: state poisoned")?;
-                s.state.sweep_expired(Instant::now());
-                if s.state.drained() {
-                    if let Some(sink) = s.sink.as_mut() {
-                        let _ = sink.flush();
-                    }
-                    s.store
-                        .finish()
-                        .map_err(|e| format!("serve: sync store on finish: {e}"))?;
-                    return Ok(ServeOutcome {
-                        cells_total: total,
-                        cells_ingested: s.state.cells_ingested,
-                        cells_skipped,
-                        workers_seen: s.state.workers_seen,
-                        leases_reclaimed: s.state.leases_reclaimed,
-                        leases_renewed: s.state.leases_renewed,
-                        results_deduped: s.state.results_deduped,
-                        telemetry_dropped: s.state.telemetry_dropped,
-                        goodbyes: s.state.goodbyes,
-                        store_path: self.store_path.clone(),
-                    });
-                }
-            }
-            std::thread::sleep(Duration::from_millis(25));
+        let header = self.spec.header();
+        let mut queue = JobQueue::new(QueueConfig {
+            max_active: 1,
+            quota: 1,
+            lease: cfg.lease,
+        });
+        let id = queue.admit_spec(self.spec, cfg.resume);
+        let mut shared = QShared::new(queue, None, self.store_path, cfg.durability, cfg.progress);
+        shared.activate(id, Instant::now())?;
+        let cells_skipped = shared.queue.job(id).map_or(0, Job::written);
+        if let Some(p) = &cfg.telemetry {
+            let mut f = File::create(p)
+                .map_err(|e| format!("{}: create telemetry sink: {e}", p.display()))?;
+            let line = JsonObj::new()
+                .str_field("schema", TELEMETRY_SCHEMA)
+                .str_field("campaign", &header.name)
+                .u64_field("threads", 0)
+                .u64_field("cells", header.cells)
+                .u64_field(
+                    "trials_planned",
+                    (header.cells - cells_skipped) * header.trials,
+                )
+                .finish();
+            writeln!(f, "{line}")
+                .map_err(|e| format!("{}: write telemetry header: {e}", p.display()))?;
+            shared.sink = Some(f);
         }
-    }
-}
-
-/// One worker connection, from handshake to disconnect. Any protocol or
-/// I/O error just drops the connection — the lease sweep and the
-/// disconnect release make worker failure a non-event.
-fn handle_worker(
-    mut stream: TcpStream,
-    conn: u64,
-    shared: &Arc<Mutex<Shared>>,
-    fingerprint: &str,
-    campaign: &str,
-) {
-    let Ok(reader) = stream.try_clone() else {
-        return;
-    };
-    let mut lines = BufReader::new(reader).lines();
-
-    // Handshake: first line must be a matching Hello.
-    let worker_name = match lines.next() {
-        Some(Ok(line)) => match Msg::decode(&line) {
-            Ok(Msg::Hello {
-                schema,
-                worker,
-                fingerprint: fp,
-            }) => {
-                let reason = if schema != FABRIC_SCHEMA {
-                    Some(format!("protocol version '{schema}' != '{FABRIC_SCHEMA}'"))
-                } else if fp != fingerprint {
-                    Some(format!(
-                        "grid fingerprint {fp} != {fingerprint} — worker expanded a \
-                         different campaign spec"
-                    ))
-                } else {
-                    None
-                };
-                if let Some(reason) = reason {
-                    let _ = send(&mut stream, &Msg::Reject { reason });
-                    return;
-                }
-                worker
-            }
-            _ => {
-                let _ = send(
-                    &mut stream,
-                    &Msg::Reject {
-                        reason: "expected hello".into(),
-                    },
-                );
-                return;
-            }
-        },
-        _ => return,
-    };
-    {
-        let Ok(mut s) = shared.lock() else { return };
-        s.state.workers_seen += 1;
-        let total = s.state.total();
-        if s.progress {
-            eprintln!("[serve] worker '{worker_name}' connected ({total} cells)");
-        }
-    }
-    if send(
-        &mut stream,
-        &Msg::Welcome {
-            campaign: campaign.into(),
-            cells: shared.lock().map(|s| s.state.total()).unwrap_or(0),
-        },
-    )
-    .is_err()
-    {
-        return;
-    }
-
-    for line in lines {
-        let Ok(line) = line else { break };
-        let msg = match Msg::decode(&line) {
-            Ok(m) => m,
-            Err(_) => break, // desynced connection: drop it
-        };
-        let reply = {
-            let Ok(mut s) = shared.lock() else { break };
-            match msg {
-                Msg::Claim => Some(s.state.claim(conn, Instant::now())),
-                Msg::Renew { cell } => {
-                    s.state.renew(conn, cell, Instant::now());
-                    None
-                }
-                Msg::Result {
-                    cell,
-                    line,
-                    elapsed_secs,
-                    trials,
-                } => {
-                    // The embedded id must agree — a mismatch means a buggy
-                    // or hostile worker, and the record is dropped (the
-                    // cell goes back to pending).
-                    let id_ok = parse_flat(&line)
-                        .ok()
-                        .and_then(|obj| get(&obj, "cell").and_then(JsonScalar::as_u64))
-                        == Some(cell);
-                    let parked = Parked {
-                        line,
-                        trials,
-                        elapsed_secs,
-                    };
-                    match s.state.ingest(cell, parked, id_ok) {
-                        Ingest::Parked => {
-                            if s.flush().is_err() {
-                                break; // store write failed; stall visibly
-                            }
-                            if s.progress {
-                                eprintln!(
-                                    "[serve] cell {cell} from '{worker_name}' ({}/{})",
-                                    s.state.written_len(),
-                                    s.state.total()
-                                );
-                            }
-                        }
-                        Ingest::Duplicate if s.progress => {
-                            eprintln!("[serve] duplicate cell {cell} from '{worker_name}' ignored");
-                        }
-                        Ingest::Duplicate | Ingest::Rejected => {}
-                    }
-                    None
-                }
-                Msg::Telemetry { line } => {
-                    // Ingest only lines that fully validate as telemetry
-                    // records; shipped worker headers and torn/malformed
-                    // lines are dropped so the sink always stays valid.
-                    if s.sink.is_some() {
-                        if telemetry::validate_record_line(&line).is_ok() {
-                            if let Some(sink) = s.sink.as_mut() {
-                                let _ = writeln!(sink, "{line}");
-                            }
-                        } else {
-                            s.state.telemetry_dropped += 1;
-                        }
-                    }
-                    None
-                }
-                Msg::Goodbye => {
-                    s.state.goodbyes += 1;
-                    if s.progress {
-                        eprintln!("[serve] worker '{worker_name}' drained gracefully");
-                    }
-                    break;
-                }
-                // Anything else from a worker is a protocol violation.
-                _ => break,
-            }
-        };
-        if let Some(reply) = reply {
-            let done = matches!(reply, Msg::Drained);
-            if send(&mut stream, &reply).is_err() || done {
-                break;
-            }
-        }
-    }
-
-    // Disconnect (or violation, or goodbye): whatever this worker held
-    // goes back.
-    if let Ok(mut s) = shared.lock() {
-        s.state.release_conn(conn);
+        let shared = Arc::new(Mutex::new(shared));
+        accept_loop(&self.listener, &shared, |q, _| {
+            let job = q.queue.job(id).filter(|j| j.state == JobState::Done)?;
+            let cells = job.cells.as_ref()?;
+            Some(Ok(ServeOutcome {
+                cells_total: job.cells_total,
+                cells_ingested: cells.cells_ingested,
+                cells_skipped,
+                workers_seen: q.workers_seen,
+                leases_reclaimed: cells.leases_reclaimed,
+                leases_renewed: cells.leases_renewed,
+                results_deduped: cells.results_deduped,
+                telemetry_dropped: q.telemetry_dropped,
+                goodbyes: q.goodbyes,
+                store_path: q.out.clone(),
+            }))
+        })
     }
 }
 
@@ -767,16 +527,26 @@ struct JobIo {
     timings: File,
 }
 
-/// Everything queue-mode connections share: the pure [`JobQueue`] plus the
-/// journal and per-job store handles it drives.
+/// Everything a daemon's connections share: the pure [`JobQueue`] plus
+/// the journal, per-job store handles and sink it drives.
 struct QShared {
     queue: JobQueue,
     stores: BTreeMap<u64, JobIo>,
-    journal: StoreWriter,
+    /// The jobs journal; `None` for a single-campaign daemon, which writes
+    /// its one store at `out` itself and refuses `/2` sessions.
+    journal: Option<StoreWriter>,
     out: PathBuf,
     durability: Durability,
     progress: bool,
+    /// Telemetry sink for worker-shipped records (single-campaign daemons
+    /// with `--telemetry`).
+    sink: Option<File>,
+    /// Connections whose handshake succeeded.
     workers_seen: u64,
+    /// Telemetry lines dropped by record validation.
+    telemetry_dropped: u64,
+    /// Graceful-drain goodbyes received.
+    goodbyes: u64,
 }
 
 /// A job's display name: the built spec's name, else what the descriptor
@@ -790,10 +560,43 @@ fn job_name(job: &Job) -> String {
 }
 
 impl QShared {
+    fn new(
+        queue: JobQueue,
+        journal: Option<StoreWriter>,
+        out: PathBuf,
+        durability: Durability,
+        progress: bool,
+    ) -> Self {
+        Self {
+            queue,
+            stores: BTreeMap::new(),
+            journal,
+            out,
+            durability,
+            progress,
+            sink: None,
+            workers_seen: 0,
+            telemetry_dropped: 0,
+            goodbyes: 0,
+        }
+    }
+
+    /// Where job `id`'s store lives: `<out>.job-N.jsonl` for a queue
+    /// daemon, `out` itself for a single-campaign daemon.
+    fn store_path(&self, id: u64) -> PathBuf {
+        match self.journal {
+            Some(_) => job_store_path(&self.out, id),
+            None => self.out.clone(),
+        }
+    }
+
     fn journal_event(&mut self, ev: &JournalEvent) -> Result<(), String> {
-        self.journal
-            .append(&ev.to_line())
-            .map_err(|e| format!("jobs journal append: {e}"))
+        match self.journal.as_mut() {
+            Some(journal) => journal
+                .append(&ev.to_line())
+                .map_err(|e| format!("jobs journal append: {e}")),
+            None => Ok(()),
+        }
     }
 
     /// Fill free activation slots from the FIFO head. An activation
@@ -820,7 +623,10 @@ impl QShared {
     /// then open its store/timings and hand the done-set to the queue.
     fn activate(&mut self, id: u64, now: Instant) -> Result<(), String> {
         let (header, resume) = {
-            let job = self.queue.job(id).ok_or_else(|| format!("unknown job {id}"))?;
+            let job = self
+                .queue
+                .job(id)
+                .ok_or_else(|| format!("unknown job {id}"))?;
             let spec = job
                 .spec
                 .as_ref()
@@ -831,7 +637,7 @@ impl QShared {
             job: id,
             state: JobState::Running,
         })?;
-        let path = job_store_path(&self.out, id);
+        let path = self.store_path(id);
         let (store, done) = store::open_for_append(&path, &header, resume, self.durability)?;
         let timings = telemetry::open_timings(&path, resume)?;
         self.stores.insert(id, JobIo { store, timings });
@@ -949,10 +755,16 @@ impl QShared {
                         reason: e,
                     };
                 }
-                let store = job_store_path(&self.out, id).display().to_string();
-                eprintln!("serve: job {id} accepted from '{client}' ({cells} cells) — store {store}");
+                let store = self.store_path(id).display().to_string();
+                eprintln!(
+                    "serve: job {id} accepted from '{client}' ({cells} cells) — store {store}"
+                );
                 self.activate_ready(now);
-                Msg::Accepted { job: id, cells, store }
+                Msg::Accepted {
+                    job: id,
+                    cells,
+                    store,
+                }
             }
             Err(rej) => {
                 eprintln!(
@@ -990,6 +802,75 @@ impl QShared {
                 rej.to_msg()
             }
         }
+    }
+
+    /// Append one worker-shipped telemetry line to the sink, but only if it
+    /// validates as a `stabcon-telemetry/1` record: shipped worker headers
+    /// and torn or malformed lines are dropped and counted, so the sink
+    /// stays valid. Without a sink (queue daemons) the line is ignored.
+    fn ingest_telemetry(&mut self, line: &str) {
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        if telemetry::validate_record_line(line).is_ok() {
+            let _ = writeln!(sink, "{line}");
+        } else {
+            self.telemetry_dropped += 1;
+        }
+    }
+
+    /// Negotiate a connection's first frame: a `/2` Hello opens an
+    /// unpinned session (queue daemons only — a single-campaign daemon has
+    /// no descriptor to ship in a `Lease2`), a `/1` Hello pins to the live
+    /// job with its grid fingerprint. Returns the mode, the peer's name
+    /// and the Welcome to send, or the reason to refuse.
+    fn handshake(&mut self, hello: Result<Msg, String>) -> Result<(ConnMode, String, Msg), String> {
+        let Ok(Msg::Hello {
+            schema,
+            worker,
+            fingerprint,
+        }) = hello
+        else {
+            return Err("expected hello".into());
+        };
+        let mode = if schema == FABRIC_SCHEMA_V2 {
+            if self.journal.is_none() {
+                return Err(format!(
+                    "this daemon serves one campaign; '{FABRIC_SCHEMA_V2}' sessions need \
+                     `stabcon serve --queue`"
+                ));
+            }
+            ConnMode::Unpinned
+        } else if schema == FABRIC_SCHEMA {
+            let fp = u64::from_str_radix(&fingerprint, 16)
+                .map_err(|e| format!("unparsable fingerprint: {e}"))?;
+            let id = self.queue.job_by_fingerprint(fp).ok_or_else(|| {
+                format!(
+                    "no live campaign with grid fingerprint {fingerprint} on this daemon — \
+                     the worker expanded a different campaign spec"
+                )
+            })?;
+            ConnMode::Pinned(id)
+        } else {
+            return Err(format!(
+                "protocol version '{schema}' is neither '{FABRIC_SCHEMA}' nor '{FABRIC_SCHEMA_V2}'"
+            ));
+        };
+        let welcome = match mode {
+            ConnMode::Pinned(id) => {
+                let job = self.queue.job(id).expect("pinned to a live job");
+                Msg::Welcome {
+                    campaign: job_name(job),
+                    cells: job.cells_total,
+                }
+            }
+            ConnMode::Unpinned => Msg::Welcome {
+                campaign: "queue".into(),
+                cells: self.queue.jobs().filter(|j| !j.state.terminal()).count() as u64,
+            },
+        };
+        self.workers_seen += 1;
+        Ok((mode, worker, welcome))
     }
 
     /// The status plane: one [`Msg::StatusReport`] followed by exactly
@@ -1039,9 +920,11 @@ impl QShared {
                 .finish()
                 .map_err(|e| format!("job {id}: sync store on exit: {e}"))?;
         }
-        self.journal
-            .finish()
-            .map_err(|e| format!("sync jobs journal on exit: {e}"))?;
+        if let Some(journal) = self.journal.as_mut() {
+            journal
+                .finish()
+                .map_err(|e| format!("sync jobs journal on exit: {e}"))?;
+        }
         let c = self.queue.counts();
         Ok(QueueOutcome {
             jobs: self.queue.jobs().count() as u64,
@@ -1063,7 +946,7 @@ pub struct QueueServer {
     out: PathBuf,
 }
 
-/// Which protocol a queue-mode connection negotiated in its Hello.
+/// Which protocol a connection negotiated in its Hello.
 #[derive(Clone, Copy)]
 enum ConnMode {
     /// `stabcon-fabric/2`: submissions, status, cancel, and any-campaign
@@ -1117,182 +1000,125 @@ impl QueueServer {
                 c.failed
             );
         }
-        let shared = Arc::new(Mutex::new(QShared {
+        let mut shared = QShared::new(
             queue,
-            stores: BTreeMap::new(),
-            journal,
-            out: self.out.clone(),
-            durability: cfg.durability,
-            progress: cfg.progress,
-            workers_seen: 0,
-        }));
-        {
-            let mut q = shared.lock().map_err(|_| "serve: state poisoned")?;
-            q.activate_ready(Instant::now());
-        }
+            Some(journal),
+            self.out.clone(),
+            cfg.durability,
+            cfg.progress,
+        );
+        shared.activate_ready(Instant::now());
+        let shared = Arc::new(Mutex::new(shared));
 
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("serve: set_nonblocking: {e}"))?;
         // Exit-when-idle linger: long enough for every connected worker to
         // wake from a Wait sleep, claim once more, and hear Drained —
         // instead of finding a dead socket and burning its retry budget.
         let retry_ms = (cfg.lease.as_millis() as u64 / 4).clamp(50, 1000);
         let grace = Duration::from_millis(retry_ms * 2 + 200);
         let mut idle_since: Option<Instant> = None;
-        let mut conn_id = 0u64;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    conn_id += 1;
-                    let conn = conn_id;
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || {
-                        handle_queue_conn(stream, conn, &shared);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(format!("serve: accept: {e}")),
+        accept_loop(&self.listener, &shared, |q, now| {
+            let halt_requested = cfg
+                .shutdown
+                .as_ref()
+                .is_some_and(|f| f.load(Ordering::Relaxed));
+            if halt_requested && !q.queue.halted() {
+                q.queue.halt();
+                eprintln!(
+                    "serve: halt requested — draining leases, parking queue, \
+                     refusing submissions"
+                );
             }
-            {
-                let mut q = shared.lock().map_err(|_| "serve: state poisoned")?;
-                let now = Instant::now();
-                for (job, cell) in q.queue.sweep_expired(now) {
-                    eprintln!("serve: job {job} cell {cell} lease expired — reclaimed");
-                }
-                q.activate_ready(now);
-                let halt_requested = cfg
-                    .shutdown
-                    .as_ref()
-                    .is_some_and(|f| f.load(Ordering::Relaxed));
-                if halt_requested && !q.queue.halted() {
-                    q.queue.halt();
-                    eprintln!(
-                        "serve: halt requested — draining leases, parking queue, \
-                         refusing submissions"
-                    );
-                }
-                if q.queue.halted() && q.queue.leases_settled() {
-                    return q.outcome(true);
-                }
-                if cfg.exit_when_idle && q.queue.jobs().next().is_some() && q.queue.idle() {
-                    match idle_since {
-                        None => {
-                            // Stop accepting so claims answer Drained, and
-                            // linger so connected workers hear it.
-                            q.queue.set_accepting(false);
-                            idle_since = Some(now);
-                            eprintln!("serve: queue idle — draining workers before exit");
-                        }
-                        Some(since) if now.duration_since(since) >= grace => {
-                            return q.outcome(false);
-                        }
-                        Some(_) => {}
+            if q.queue.halted() && q.queue.leases_settled() {
+                return Some(q.outcome(true));
+            }
+            if cfg.exit_when_idle && q.queue.jobs().next().is_some() && q.queue.idle() {
+                match idle_since {
+                    None => {
+                        // Stop accepting so claims answer Drained, and
+                        // linger so connected workers hear it.
+                        q.queue.set_accepting(false);
+                        idle_since = Some(now);
+                        eprintln!("serve: queue idle — draining workers before exit");
                     }
+                    Some(since) if now.duration_since(since) >= grace => {
+                        return Some(q.outcome(false));
+                    }
+                    Some(_) => {}
                 }
             }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+            None
+        })
     }
 }
 
-/// One queue-mode connection, from version-negotiating handshake to
-/// disconnect. `/2` Hellos get the full submission/status/claim plane;
-/// `/1` Hellos are pinned to the queued job matching their fingerprint and
-/// speak the original worker protocol unchanged.
-fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShared>>) {
+/// The one accept loop: hand each connection its own handler thread, and
+/// every 25 ms expire overdue leases, fill free activation slots, and ask
+/// `tick` whether the daemon is done (`Some` ends the loop with its value).
+fn accept_loop<T>(
+    listener: &TcpListener,
+    shared: &Arc<Mutex<QShared>>,
+    mut tick: impl FnMut(&mut QShared, Instant) -> Option<Result<T, String>>,
+) -> Result<T, String> {
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| format!("serve: set_nonblocking: {e}"))?;
+    let mut conn_id = 0u64;
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                conn_id += 1;
+                let conn = conn_id;
+                let shared = Arc::clone(shared);
+                std::thread::spawn(move || handle_conn(stream, conn, &shared));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) => return Err(format!("serve: accept: {e}")),
+        }
+        {
+            let mut q = shared.lock().map_err(|_| "serve: state poisoned")?;
+            let now = Instant::now();
+            for (job, cell) in q.queue.sweep_expired(now) {
+                eprintln!("serve: job {job} cell {cell} lease expired — reclaimed");
+            }
+            q.activate_ready(now);
+            if let Some(done) = tick(&mut q, now) {
+                return done;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// One connection, from version-negotiating handshake to disconnect. `/2`
+/// Hellos get the full submission/status/claim plane; `/1` Hellos are
+/// pinned to the live job matching their fingerprint and speak the
+/// original worker protocol. Any protocol or I/O error just drops the
+/// connection — the lease sweep and the disconnect release make worker
+/// failure a non-event.
+fn handle_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShared>>) {
     let Ok(reader) = stream.try_clone() else {
         return;
     };
     let mut lines = BufReader::new(reader).lines();
-
-    let (mode, worker_name) = match lines.next() {
-        Some(Ok(line)) => match Msg::decode(&line) {
-            Ok(Msg::Hello {
-                schema,
-                worker,
-                fingerprint,
-            }) => {
-                if schema == FABRIC_SCHEMA_V2 {
-                    (ConnMode::Unpinned, worker)
-                } else if schema == FABRIC_SCHEMA {
-                    let fp = match u64::from_str_radix(&fingerprint, 16) {
-                        Ok(fp) => fp,
-                        Err(e) => {
-                            let _ = send(
-                                &mut stream,
-                                &Msg::Reject {
-                                    reason: format!("unparsable fingerprint: {e}"),
-                                },
-                            );
-                            return;
-                        }
-                    };
-                    let pinned = shared
-                        .lock()
-                        .ok()
-                        .and_then(|q| q.queue.job_by_fingerprint(fp));
-                    match pinned {
-                        Some(id) => (ConnMode::Pinned(id), worker),
-                        None => {
-                            let _ = send(
-                                &mut stream,
-                                &Msg::Reject {
-                                    reason: format!(
-                                        "no live campaign with grid fingerprint {fingerprint} \
-                                         in the queue"
-                                    ),
-                                },
-                            );
-                            return;
-                        }
-                    }
-                } else {
-                    let _ = send(
-                        &mut stream,
-                        &Msg::Reject {
-                            reason: format!(
-                                "protocol version '{schema}' is neither '{FABRIC_SCHEMA}' \
-                                 nor '{FABRIC_SCHEMA_V2}'"
-                            ),
-                        },
-                    );
-                    return;
-                }
-            }
-            _ => {
-                let _ = send(
-                    &mut stream,
-                    &Msg::Reject {
-                        reason: "expected hello".into(),
-                    },
-                );
+    let Some(Ok(hello)) = lines.next() else {
+        return;
+    };
+    let negotiated = {
+        let Ok(mut q) = shared.lock() else { return };
+        q.handshake(Msg::decode(&hello))
+    };
+    let (mode, worker_name) = match negotiated {
+        Ok((mode, worker, welcome)) => {
+            if write_frame(&mut stream, &welcome).is_err() {
                 return;
             }
-        },
-        _ => return,
-    };
-
-    let welcome = {
-        let Ok(mut q) = shared.lock() else { return };
-        q.workers_seen += 1;
-        match mode {
-            ConnMode::Pinned(id) => {
-                let Some(job) = q.queue.job(id) else { return };
-                Msg::Welcome {
-                    campaign: job_name(job),
-                    cells: job.cells_total,
-                }
-            }
-            ConnMode::Unpinned => Msg::Welcome {
-                campaign: "queue".into(),
-                cells: q.queue.jobs().filter(|j| !j.state.terminal()).count() as u64,
-            },
+            (mode, worker)
+        }
+        Err(reason) => {
+            let _ = write_frame(&mut stream, &Msg::Reject { reason });
+            return;
         }
     };
-    if send(&mut stream, &welcome).is_err() {
-        return;
-    }
 
     for line in lines {
         let Ok(line) = line else { break };
@@ -1301,30 +1127,23 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
         let (replies, quit) = {
             let Ok(mut q) = shared.lock() else { break };
             match (mode, msg) {
-                (ConnMode::Unpinned, Msg::Claim) => {
-                    let reply = q.queue.claim(conn, now);
-                    if let Msg::Lease2 { job, cell, .. } = &reply {
+                (_, Msg::Claim) => {
+                    let reply = match mode {
+                        ConnMode::Pinned(id) => q.queue.claim_pinned(conn, id, now),
+                        ConnMode::Unpinned => q.queue.claim(conn, now),
+                    };
+                    if let (Msg::Lease2 { job, cell, .. }, _)
+                    | (Msg::Lease { cell, .. }, ConnMode::Pinned(job)) = (&reply, &mode)
+                    {
                         if q.progress {
                             eprintln!("serve: job {job} cell {cell} leased to '{worker_name}'");
                         }
                     }
                     (vec![reply], false)
                 }
-                (ConnMode::Pinned(id), Msg::Claim) => {
-                    let reply = q.queue.claim_pinned(conn, id, now);
-                    if let Msg::Lease { cell, .. } = &reply {
-                        if q.progress {
-                            eprintln!("serve: job {id} cell {cell} leased to '{worker_name}'");
-                        }
-                    }
-                    (vec![reply], false)
-                }
-                (ConnMode::Unpinned, Msg::Renew2 { job, cell }) => {
+                (ConnMode::Unpinned, Msg::Renew2 { job, cell })
+                | (ConnMode::Pinned(job), Msg::Renew { cell }) => {
                     q.queue.renew(conn, job, cell, now);
-                    (vec![], false)
-                }
-                (ConnMode::Pinned(id), Msg::Renew { cell }) => {
-                    q.queue.renew(conn, id, cell, now);
                     (vec![], false)
                 }
                 (
@@ -1336,20 +1155,9 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
                         elapsed_secs,
                         trials,
                     },
-                ) => {
-                    let quit = match q.ingest_result(job, cell, line, elapsed_secs, trials, now)
-                    {
-                        Ok(()) => false,
-                        Err(e) => {
-                            eprintln!("serve: job {job} flush failed — {e}");
-                            true // store write failed; stall visibly
-                        }
-                    };
-                    q.activate_ready(now); // a finished job frees a slot
-                    (vec![], quit)
-                }
-                (
-                    ConnMode::Pinned(id),
+                )
+                | (
+                    ConnMode::Pinned(job),
                     Msg::Result {
                         cell,
                         line,
@@ -1357,15 +1165,12 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
                         trials,
                     },
                 ) => {
-                    let quit = match q.ingest_result(id, cell, line, elapsed_secs, trials, now) {
-                        Ok(()) => false,
-                        Err(e) => {
-                            eprintln!("serve: job {id} flush failed — {e}");
-                            true
-                        }
-                    };
-                    q.activate_ready(now);
-                    (vec![], quit)
+                    let flushed = q.ingest_result(job, cell, line, elapsed_secs, trials, now);
+                    if let Err(e) = &flushed {
+                        eprintln!("serve: job {job} flush failed — {e}");
+                    }
+                    q.activate_ready(now); // a finished job frees a slot
+                    (vec![], flushed.is_err()) // store write failed; stall visibly
                 }
                 (
                     ConnMode::Unpinned,
@@ -1374,14 +1179,25 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
                         spec,
                         fingerprint,
                     },
-                ) => (vec![q.handle_submit(&client, &spec, &fingerprint, now)], false),
+                ) => (
+                    vec![q.handle_submit(&client, &spec, &fingerprint, now)],
+                    false,
+                ),
                 (ConnMode::Unpinned, Msg::Status { job }) => (q.status_frames(job, now), false),
                 (ConnMode::Unpinned, Msg::Cancel { job }) => {
                     (vec![q.handle_cancel(job, now)], false)
                 }
-                // Telemetry has no sink in queue mode; dropped silently.
-                (_, Msg::Telemetry { .. }) => (vec![], false),
-                (_, Msg::Goodbye) => (vec![], true),
+                (_, Msg::Telemetry { line }) => {
+                    q.ingest_telemetry(&line);
+                    (vec![], false)
+                }
+                (_, Msg::Goodbye) => {
+                    q.goodbyes += 1;
+                    if q.progress {
+                        eprintln!("serve: worker '{worker_name}' drained gracefully");
+                    }
+                    (vec![], true)
+                }
                 // Anything else on this connection is a protocol violation.
                 _ => (vec![], true),
             }
@@ -1389,7 +1205,7 @@ fn handle_queue_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Mutex<QShare
         let mut dead = false;
         for reply in &replies {
             let drained = matches!(reply, Msg::Drained);
-            if send(&mut stream, reply).is_err() || drained {
+            if write_frame(&mut stream, reply).is_err() || drained {
                 dead = true;
                 break;
             }

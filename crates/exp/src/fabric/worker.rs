@@ -2,11 +2,14 @@
 //! daemon, claim cells, run them on the local thread pool, and stream
 //! results (and telemetry) back.
 //!
-//! The worker expands the campaign spec **locally** and proves it did with
-//! the grid fingerprint in the [`Msg::Hello`] handshake — the server never
-//! ships cell specs over the wire, only cell *ids*, so the determinism
-//! story is identical to the batch shard flow: every record the worker
-//! produces is the exact line a single-host run would have written.
+//! The worker expands each campaign **locally** and proves it did with the
+//! grid fingerprint — in the [`Msg::Hello`] handshake when pinned to one
+//! campaign ([`run_worker`]), in every [`Msg::Lease2`] when serving any
+//! campaign ([`run_worker_any`]). The server never ships cell specs over
+//! the wire, only cell *ids*, so the determinism story is identical to the
+//! batch shard flow: every record the worker produces is the exact line a
+//! single-host run would have written. Both entry points run the same
+//! reconnect loop and session loop.
 //!
 //! ## WAN hardening
 //!
@@ -48,7 +51,7 @@ use crate::cell::{chunk_for, run_cell_monitored, CellSpec};
 use crate::store;
 use crate::telemetry::CampaignTelemetry;
 
-use super::protocol::{Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
+use super::protocol::{write_frame, Msg, SpecDescriptor, FABRIC_SCHEMA, FABRIC_SCHEMA_V2};
 
 /// Process-wide graceful-drain flag, set by the SIGTERM handler in the
 /// `stabcon` binary (signal handlers can only touch static state).
@@ -108,7 +111,7 @@ impl WorkerConfig {
 }
 
 /// What a worker session ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerOutcome {
     /// Cells completed and shipped.
     pub cells_run: u64,
@@ -152,9 +155,7 @@ fn send_locked(stream: &Arc<Mutex<TcpStream>>, msg: &Msg) -> std::io::Result<()>
     let mut s = stream
         .lock()
         .map_err(|_| std::io::Error::other("connection poisoned"))?;
-    s.write_all(msg.encode().as_bytes())?;
-    s.write_all(b"\n")?;
-    s.flush()
+    write_frame(&mut *s, msg)
 }
 
 /// Reconnect backoff for consecutive failure number `attempt` (1-based):
@@ -195,26 +196,20 @@ enum SessionEnd {
     DrainRequested,
 }
 
-/// A session-level failure: tear down and reconnect.
-struct SessionLost(String);
-
-/// A fatal refusal: retrying cannot help (handshake reject, grid
-/// mismatch).
-struct Fatal(String);
-
-enum WorkErr {
-    Lost(SessionLost),
-    Fatal(Fatal),
+/// Why a session failed.
+pub(super) enum WorkErr {
+    /// Session-level failure (refused connect, dropped connection, torn or
+    /// unexpected frame): tear down and reconnect.
+    Lost(String),
+    /// A refusal retrying cannot help (handshake reject, grid mismatch).
+    Fatal(String),
 }
 
-impl From<SessionLost> for WorkErr {
-    fn from(e: SessionLost) -> Self {
-        WorkErr::Lost(e)
-    }
-}
-impl From<Fatal> for WorkErr {
-    fn from(e: Fatal) -> Self {
-        WorkErr::Fatal(e)
+impl From<WorkErr> for String {
+    fn from(e: WorkErr) -> Self {
+        match e {
+            WorkErr::Lost(msg) | WorkErr::Fatal(msg) => msg,
+        }
     }
 }
 
@@ -265,24 +260,25 @@ impl Drop for Heartbeat {
     }
 }
 
-/// One established, handshake-validated connection to the server.
-struct Session {
+/// One established, handshake-validated connection to the server (a
+/// worker's session, or a control client's one-shot exchange).
+pub(super) struct Session {
     stream: Arc<Mutex<TcpStream>>,
     lines: Lines<BufReader<TcpStream>>,
 }
 
 impl Session {
-    fn recv(&mut self) -> Result<Msg, SessionLost> {
+    pub(super) fn recv(&mut self) -> Result<Msg, WorkErr> {
         let line = self
             .lines
             .next()
-            .ok_or_else(|| SessionLost("server closed the connection".into()))?
-            .map_err(|e| SessionLost(format!("read: {e}")))?;
-        Msg::decode(&line).map_err(SessionLost)
+            .ok_or_else(|| WorkErr::Lost("server closed the connection".into()))?
+            .map_err(|e| WorkErr::Lost(format!("read: {e}")))?;
+        Msg::decode(&line).map_err(WorkErr::Lost)
     }
 
-    fn send(&self, msg: &Msg) -> Result<(), SessionLost> {
-        send_locked(&self.stream, msg).map_err(|e| SessionLost(format!("send: {e}")))
+    pub(super) fn send(&self, msg: &Msg) -> Result<(), WorkErr> {
+        send_locked(&self.stream, msg).map_err(|e| WorkErr::Lost(format!("send: {e}")))
     }
 }
 
@@ -291,7 +287,7 @@ impl Session {
 /// `expect_cells` validates the Welcome's cell count against the local
 /// expansion (`/1` sessions only — an unpinned `/2` Welcome reports the
 /// live job count instead).
-fn connect_session(
+pub(super) fn connect_session(
     addr: &str,
     name: &str,
     schema: &str,
@@ -299,10 +295,10 @@ fn connect_session(
     expect_cells: Option<u64>,
 ) -> Result<Session, WorkErr> {
     let stream =
-        TcpStream::connect(addr).map_err(|e| SessionLost(format!("connect {addr}: {e}")))?;
+        TcpStream::connect(addr).map_err(|e| WorkErr::Lost(format!("connect {addr}: {e}")))?;
     let reader = stream
         .try_clone()
-        .map_err(|e| SessionLost(format!("clone connection: {e}")))?;
+        .map_err(|e| WorkErr::Lost(format!("clone connection: {e}")))?;
     let mut session = Session {
         stream: Arc::new(Mutex::new(stream)),
         lines: BufReader::new(reader).lines(),
@@ -317,38 +313,86 @@ fn connect_session(
             cells: server_cells,
             ..
         } => {
-            if let Some(local_cells) = expect_cells {
-                if server_cells != local_cells {
-                    return Err(Fatal(format!(
-                        "server grid has {server_cells} cells, local expansion {local_cells} — \
-                         fingerprint collision?"
-                    ))
-                    .into());
-                }
+            if let Some(local_cells) = expect_cells.filter(|&local| local != server_cells) {
+                return Err(WorkErr::Fatal(format!(
+                    "server grid has {server_cells} cells, local expansion {local_cells} — \
+                     fingerprint collision?"
+                )));
             }
+            Ok(session)
         }
-        Msg::Reject { reason } => return Err(Fatal(format!("rejected: {reason}")).into()),
-        other => {
-            return Err(SessionLost(format!("unexpected handshake reply {other:?}")).into());
+        Msg::Reject { reason } => Err(WorkErr::Fatal(format!("rejected: {reason}"))),
+        other => Err(WorkErr::Lost(format!(
+            "unexpected handshake reply {other:?}"
+        ))),
+    }
+}
+
+/// One campaign's locally built-and-verified grid.
+struct JobGrid {
+    spec: CampaignSpec,
+    cells: Vec<CellSpec>,
+}
+
+impl JobGrid {
+    fn new(spec: CampaignSpec) -> Self {
+        let cells = spec.expand();
+        Self { spec, cells }
+    }
+}
+
+/// What a worker's sessions are bound to.
+enum Target {
+    /// `/1`: the handshake's grid fingerprint pins every session to this
+    /// one campaign, and each [`Msg::Lease`] names a cell of it.
+    Pinned(Box<JobGrid>),
+    /// `/2`: any campaign the daemon runs. Each [`Msg::Lease2`] names its
+    /// job and ships its descriptor; grids are cached per job so each
+    /// campaign is expanded once.
+    Any(HashMap<u64, JobGrid>),
+}
+
+/// Build (or fetch) the grid for a leased job, verifying that the locally
+/// computed fingerprint matches the server's — the `/1` determinism
+/// handshake, per job instead of per connection. A mismatch is fatal: the
+/// two sides would write different bytes.
+fn grid_for<'a>(
+    grids: &'a mut HashMap<u64, JobGrid>,
+    job: u64,
+    desc: &SpecDescriptor,
+    fingerprint: &str,
+) -> Result<&'a JobGrid, WorkErr> {
+    match grids.entry(job) {
+        std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
+        std::collections::hash_map::Entry::Vacant(e) => {
+            let spec = desc.build().map_err(|err| {
+                WorkErr::Fatal(format!("job {job}: descriptor does not build: {err}"))
+            })?;
+            let local = format!("{:016x}", spec.fingerprint());
+            if local != fingerprint {
+                return Err(WorkErr::Fatal(format!(
+                    "job {job}: server grid fingerprint {fingerprint} != local {local} — \
+                     server and worker built different campaigns from the same descriptor"
+                )));
+            }
+            Ok(e.insert(JobGrid::new(spec)))
         }
     }
-    Ok(session)
 }
 
 /// Run one leased cell and build its (unshipped) result frame —
 /// [`Msg::Result`] for a `/1` session, [`Msg::Result2`] when `job` tags
-/// the lease. Heartbeats flow for the whole computation.
-#[allow(clippy::too_many_arguments)]
+/// the lease — plus the trials it ran. Heartbeats flow for the whole
+/// computation.
 fn run_leased_cell(
     session: &Session,
     pool: &ThreadPool,
-    spec: &CampaignSpec,
-    cells: &[CellSpec],
+    grid: &JobGrid,
     cell: &CellSpec,
     lease_ms: u64,
     job: Option<u64>,
     cfg: &WorkerConfig,
-) -> Result<Msg, String> {
+) -> Result<(Msg, u64), String> {
     let renew = match job {
         Some(job) => Msg::Renew2 { job, cell: cell.id },
         None => Msg::Renew { cell: cell.id },
@@ -357,9 +401,9 @@ fn run_leased_cell(
     // Telemetry streams to the server; progress printing stays off (the
     // server renders progress for the whole campaign).
     let mut tel = CampaignTelemetry::create_with_sink(
-        &spec.name,
+        &grid.spec.name,
         pool.threads().max(1),
-        cells.len() as u64,
+        grid.cells.len() as u64,
         cell.trials,
         false,
         Some(Box::new(FrameWriter {
@@ -378,7 +422,7 @@ fn run_leased_cell(
     tel.finish();
     let line = store::cell_line(cell, &agg);
     let trials = agg.trials();
-    Ok(match job {
+    let result = match job {
         Some(job) => Msg::Result2 {
             job,
             cell: cell.id,
@@ -392,7 +436,8 @@ fn run_leased_cell(
             elapsed_secs,
             trials,
         },
-    })
+    };
+    Ok((result, trials))
 }
 
 /// The in-flight state that must survive a reconnect.
@@ -407,12 +452,13 @@ struct Progress {
 
 /// Drive one session until the campaign drains, a drain is requested, or
 /// the session is lost. Updates `progress` in place so nothing is lost on
-/// a reconnect.
+/// a reconnect. A pinned session resolves [`Msg::Lease`] against its grid,
+/// an any-campaign session resolves [`Msg::Lease2`] through [`grid_for`];
+/// a lease frame of the other protocol loses the session.
 fn run_session(
     session: &mut Session,
     pool: &ThreadPool,
-    spec: &CampaignSpec,
-    cells: &[CellSpec],
+    target: &mut Target,
     cfg: &WorkerConfig,
     progress: &mut Progress,
     attempts: &mut u32,
@@ -438,38 +484,130 @@ fn run_session(
         // the server consumed the Result bytes: drop the copy.
         progress.pending = None;
         *attempts = 0;
-        match reply {
-            Msg::Lease { cell, lease_ms } => {
-                let cell = cells
-                    .get(cell as usize)
-                    .filter(|c| c.id == cell)
-                    .ok_or_else(|| Fatal(format!("leased unknown cell {cell}")))?;
-                let result =
-                    run_leased_cell(session, pool, spec, cells, cell, lease_ms, None, cfg)
-                        .map_err(Fatal)?;
-                let trials = match &result {
-                    Msg::Result { trials, .. } => *trials,
-                    _ => unreachable!("run_leased_cell returns Msg::Result"),
-                };
-                // The cell is done: remember the frame *before* trying to
-                // ship it, so a send failure reships it next session.
-                progress.pending = Some(result.clone());
-                progress.outcome.cells_run += 1;
-                progress.outcome.trials_run += trials;
-                session.send(&result)?;
+        let (grid, job, cell, lease_ms) = match (&mut *target, reply) {
+            (Target::Pinned(grid), Msg::Lease { cell, lease_ms }) => {
+                (&**grid, None, cell, lease_ms)
             }
-            Msg::Wait { retry_ms } => {
+            (
+                Target::Any(grids),
+                Msg::Lease2 {
+                    job,
+                    cell,
+                    lease_ms,
+                    spec,
+                    fingerprint,
+                },
+            ) => (
+                grid_for(grids, job, &spec, &fingerprint)?,
+                Some(job),
+                cell,
+                lease_ms,
+            ),
+            (_, Msg::Wait { retry_ms }) => {
                 interruptible_sleep(Duration::from_millis(retry_ms.clamp(10, 5000)), cfg);
+                continue;
             }
-            Msg::Drained => return Ok(SessionEnd::CampaignDrained),
-            Msg::Reject { reason } => return Err(Fatal(format!("rejected: {reason}")).into()),
-            other => return Err(SessionLost(format!("unexpected server message {other:?}")).into()),
-        }
+            (_, Msg::Drained) => return Ok(SessionEnd::CampaignDrained),
+            (_, Msg::Reject { reason }) => {
+                return Err(WorkErr::Fatal(format!("rejected: {reason}")))
+            }
+            (_, other) => {
+                return Err(WorkErr::Lost(format!(
+                    "unexpected server message {other:?}"
+                )))
+            }
+        };
+        let cell = grid
+            .cells
+            .get(cell as usize)
+            .filter(|c| c.id == cell)
+            .ok_or_else(|| match job {
+                Some(job) => WorkErr::Fatal(format!("job {job}: leased unknown cell {cell}")),
+                None => WorkErr::Fatal(format!("leased unknown cell {cell}")),
+            })?;
+        let (result, trials) = run_leased_cell(session, pool, grid, cell, lease_ms, job, cfg)
+            .map_err(WorkErr::Fatal)?;
+        // The cell is done: remember the frame *before* trying to ship it,
+        // so a send failure reships it next session.
+        progress.pending = Some(result.clone());
+        progress.outcome.cells_run += 1;
+        progress.outcome.trials_run += trials;
+        session.send(&result)?;
     }
 }
 
-/// Connect to a `stabcon serve` daemon at `addr` and work until the server
-/// reports the campaign drained (or a graceful drain is requested).
+/// The reconnect loop shared by [`run_worker`] and [`run_worker_any`]:
+/// dial, handshake, run a session, and on a lost session back off and dial
+/// again — until the daemon drains, a drain is requested, or the retry
+/// budget is spent.
+fn work(addr: &str, cfg: &WorkerConfig, mut target: Target) -> Result<WorkerOutcome, String> {
+    let (schema, fingerprint, expect_cells) = match &target {
+        Target::Pinned(grid) => (
+            FABRIC_SCHEMA,
+            format!("{:016x}", grid.spec.fingerprint()),
+            Some(grid.cells.len() as u64),
+        ),
+        Target::Any(_) => (FABRIC_SCHEMA_V2, String::new(), None),
+    };
+    let seed = name_seed(&cfg.name);
+    let pool = ThreadPool::new(cfg.threads);
+    let mut progress = Progress {
+        outcome: WorkerOutcome::default(),
+        pending: None,
+    };
+    let mut attempts: u32 = 0;
+    let mut sessions_seen: u64 = 0;
+    loop {
+        if cfg.drain_requested() {
+            progress.outcome.drained_early = true;
+            return Ok(progress.outcome);
+        }
+        let ended = connect_session(addr, &cfg.name, schema, &fingerprint, expect_cells).and_then(
+            |mut session| {
+                sessions_seen += 1;
+                if sessions_seen > 1 {
+                    progress.outcome.reconnects += 1;
+                }
+                run_session(
+                    &mut session,
+                    &pool,
+                    &mut target,
+                    cfg,
+                    &mut progress,
+                    &mut attempts,
+                )
+            },
+        );
+        let lost = match ended {
+            Ok(end) => {
+                progress.outcome.drained_early = matches!(end, SessionEnd::DrainRequested);
+                return Ok(progress.outcome);
+            }
+            Err(WorkErr::Fatal(msg)) => return Err(format!("work: {msg}")),
+            Err(WorkErr::Lost(msg)) => msg,
+        };
+        attempts += 1;
+        if attempts > cfg.retries {
+            return Err(format!(
+                "work: {addr}: gave up after {attempts} consecutive session failures \
+                 (last: {lost}) — raise --retries/--backoff-ms for flakier links"
+            ));
+        }
+        let delay = backoff_delay(seed, attempts, cfg.backoff_ms);
+        eprintln!(
+            "work: session with {addr} lost (attempt {attempts}/{}): {lost} — retrying in {}ms",
+            cfg.retries,
+            delay.as_millis()
+        );
+        interruptible_sleep(delay, cfg);
+    }
+}
+
+/// Connect to a `stabcon serve` daemon at `addr` and work on the campaign
+/// `spec` until the server reports it drained (or a graceful drain is
+/// requested). The `/1` handshake pins the connection by grid fingerprint,
+/// so this works against a single-campaign daemon and against a queue
+/// daemon holding a matching job alike.
 ///
 /// Session failures — refused connects, dropped connections, torn frames —
 /// are retried with capped exponential backoff up to
@@ -480,182 +618,11 @@ pub fn run_worker(
     spec: &CampaignSpec,
     cfg: &WorkerConfig,
 ) -> Result<WorkerOutcome, String> {
-    let cells = spec.expand();
-    let header = spec.header();
-    let fingerprint = format!("{:016x}", header.fingerprint);
-    let seed = name_seed(&cfg.name);
-    let pool = ThreadPool::new(cfg.threads);
-    let mut progress = Progress {
-        outcome: WorkerOutcome {
-            cells_run: 0,
-            trials_run: 0,
-            reconnects: 0,
-            drained_early: false,
-        },
-        pending: None,
-    };
-    let mut attempts: u32 = 0;
-    let mut sessions_seen: u64 = 0;
-    loop {
-        if cfg.drain_requested() {
-            progress.outcome.drained_early = true;
-            return Ok(progress.outcome);
-        }
-        let lost = match connect_session(
-            addr,
-            &cfg.name,
-            FABRIC_SCHEMA,
-            &fingerprint,
-            Some(cells.len() as u64),
-        ) {
-            Ok(mut session) => {
-                sessions_seen += 1;
-                if sessions_seen > 1 {
-                    progress.outcome.reconnects += 1;
-                }
-                match run_session(
-                    &mut session,
-                    &pool,
-                    spec,
-                    &cells,
-                    cfg,
-                    &mut progress,
-                    &mut attempts,
-                ) {
-                    Ok(SessionEnd::CampaignDrained) => return Ok(progress.outcome),
-                    Ok(SessionEnd::DrainRequested) => {
-                        progress.outcome.drained_early = true;
-                        return Ok(progress.outcome);
-                    }
-                    Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-                    Err(WorkErr::Lost(e)) => e,
-                }
-            }
-            Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-            Err(WorkErr::Lost(e)) => e,
-        };
-        attempts += 1;
-        if attempts > cfg.retries {
-            return Err(format!(
-                "work: {addr}: gave up after {attempts} consecutive session failures \
-                 (last: {}) — raise --retries/--backoff-ms for flakier links",
-                lost.0
-            ));
-        }
-        let delay = backoff_delay(seed, attempts, cfg.backoff_ms);
-        eprintln!(
-            "work: session with {addr} lost (attempt {attempts}/{}): {} — retrying in {}ms",
-            cfg.retries,
-            lost.0,
-            delay.as_millis()
-        );
-        interruptible_sleep(delay, cfg);
-    }
-}
-
-/// One job's locally built-and-verified grid, cached across leases so the
-/// any-campaign worker expands each campaign once.
-struct JobGrid {
-    spec: CampaignSpec,
-    cells: Vec<CellSpec>,
-}
-
-/// Build (or fetch) the grid for a leased job, verifying that the locally
-/// computed fingerprint matches the server's — the `/1` determinism
-/// handshake, per job instead of per connection. A mismatch is fatal: the
-/// two sides would write different bytes.
-fn grid_for<'a>(
-    grids: &'a mut HashMap<u64, JobGrid>,
-    job: u64,
-    desc: &SpecDescriptor,
-    fingerprint: &str,
-) -> Result<&'a JobGrid, Fatal> {
-    match grids.entry(job) {
-        std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let spec = desc
-                .build()
-                .map_err(|err| Fatal(format!("job {job}: descriptor does not build: {err}")))?;
-            let local = format!("{:016x}", spec.fingerprint());
-            if local != fingerprint {
-                return Err(Fatal(format!(
-                    "job {job}: server grid fingerprint {fingerprint} != local {local} — \
-                     server and worker built different campaigns from the same descriptor"
-                )));
-            }
-            let cells = spec.expand();
-            Ok(e.insert(JobGrid { spec, cells }))
-        }
-    }
-}
-
-/// Drive one unpinned (`/2`) session: leases arrive tagged with a job id
-/// and carry that job's descriptor + fingerprint; results ship back as
-/// [`Msg::Result2`]. Everything else — pending-result resubmission, drain,
-/// backoff bookkeeping — matches [`run_session`].
-fn run_session_any(
-    session: &mut Session,
-    pool: &ThreadPool,
-    grids: &mut HashMap<u64, JobGrid>,
-    cfg: &WorkerConfig,
-    progress: &mut Progress,
-    attempts: &mut u32,
-) -> Result<SessionEnd, WorkErr> {
-    *attempts = 0;
-    if let Some(result) = progress.pending.clone() {
-        session.send(&result)?;
-    }
-    loop {
-        if cfg.drain_requested() {
-            let _ = session.send(&Msg::Goodbye);
-            return Ok(SessionEnd::DrainRequested);
-        }
-        session.send(&Msg::Claim)?;
-        let reply = session.recv()?;
-        progress.pending = None;
-        *attempts = 0;
-        match reply {
-            Msg::Lease2 {
-                job,
-                cell,
-                lease_ms,
-                spec,
-                fingerprint,
-            } => {
-                let grid = grid_for(grids, job, &spec, &fingerprint).map_err(WorkErr::Fatal)?;
-                let cell = grid
-                    .cells
-                    .get(cell as usize)
-                    .filter(|c| c.id == cell)
-                    .ok_or_else(|| Fatal(format!("job {job}: leased unknown cell {cell}")))?;
-                let result = run_leased_cell(
-                    session,
-                    pool,
-                    &grid.spec,
-                    &grid.cells,
-                    cell,
-                    lease_ms,
-                    Some(job),
-                    cfg,
-                )
-                .map_err(Fatal)?;
-                let trials = match &result {
-                    Msg::Result2 { trials, .. } => *trials,
-                    _ => unreachable!("run_leased_cell with a job returns Msg::Result2"),
-                };
-                progress.pending = Some(result.clone());
-                progress.outcome.cells_run += 1;
-                progress.outcome.trials_run += trials;
-                session.send(&result)?;
-            }
-            Msg::Wait { retry_ms } => {
-                interruptible_sleep(Duration::from_millis(retry_ms.clamp(10, 5000)), cfg);
-            }
-            Msg::Drained => return Ok(SessionEnd::CampaignDrained),
-            Msg::Reject { reason } => return Err(Fatal(format!("rejected: {reason}")).into()),
-            other => return Err(SessionLost(format!("unexpected server message {other:?}")).into()),
-        }
-    }
+    work(
+        addr,
+        cfg,
+        Target::Pinned(Box::new(JobGrid::new(spec.clone()))),
+    )
 }
 
 /// Connect to a queue-mode `stabcon serve` daemon at `addr` and work on
@@ -666,68 +633,7 @@ fn run_session_any(
 /// drain is requested); reconnect/backoff/resubmission semantics match
 /// [`run_worker`].
 pub fn run_worker_any(addr: &str, cfg: &WorkerConfig) -> Result<WorkerOutcome, String> {
-    let seed = name_seed(&cfg.name);
-    let pool = ThreadPool::new(cfg.threads);
-    let mut grids: HashMap<u64, JobGrid> = HashMap::new();
-    let mut progress = Progress {
-        outcome: WorkerOutcome {
-            cells_run: 0,
-            trials_run: 0,
-            reconnects: 0,
-            drained_early: false,
-        },
-        pending: None,
-    };
-    let mut attempts: u32 = 0;
-    let mut sessions_seen: u64 = 0;
-    loop {
-        if cfg.drain_requested() {
-            progress.outcome.drained_early = true;
-            return Ok(progress.outcome);
-        }
-        let lost = match connect_session(addr, &cfg.name, FABRIC_SCHEMA_V2, "", None) {
-            Ok(mut session) => {
-                sessions_seen += 1;
-                if sessions_seen > 1 {
-                    progress.outcome.reconnects += 1;
-                }
-                match run_session_any(
-                    &mut session,
-                    &pool,
-                    &mut grids,
-                    cfg,
-                    &mut progress,
-                    &mut attempts,
-                ) {
-                    Ok(SessionEnd::CampaignDrained) => return Ok(progress.outcome),
-                    Ok(SessionEnd::DrainRequested) => {
-                        progress.outcome.drained_early = true;
-                        return Ok(progress.outcome);
-                    }
-                    Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-                    Err(WorkErr::Lost(e)) => e,
-                }
-            }
-            Err(WorkErr::Fatal(Fatal(msg))) => return Err(format!("work: {msg}")),
-            Err(WorkErr::Lost(e)) => e,
-        };
-        attempts += 1;
-        if attempts > cfg.retries {
-            return Err(format!(
-                "work: {addr}: gave up after {attempts} consecutive session failures \
-                 (last: {}) — raise --retries/--backoff-ms for flakier links",
-                lost.0
-            ));
-        }
-        let delay = backoff_delay(seed, attempts, cfg.backoff_ms);
-        eprintln!(
-            "work: session with {addr} lost (attempt {attempts}/{}): {} — retrying in {}ms",
-            cfg.retries,
-            lost.0,
-            delay.as_millis()
-        );
-        interruptible_sleep(delay, cfg);
-    }
+    work(addr, cfg, Target::Any(HashMap::new()))
 }
 
 #[cfg(test)]

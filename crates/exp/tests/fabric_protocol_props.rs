@@ -61,7 +61,12 @@ fn build_msg(kind: usize, x: u64, y: u64, a: usize, b: usize) -> Msg {
     match kind {
         0 => Msg::Hello {
             // Both live schema tags: version negotiation rides this field.
-            schema: if y & 1 != 0 { FABRIC_SCHEMA_V2 } else { FABRIC_SCHEMA }.into(),
+            schema: if y & 1 != 0 {
+                FABRIC_SCHEMA_V2
+            } else {
+                FABRIC_SCHEMA
+            }
+            .into(),
             worker: nasty(a, b, x),
             fingerprint: format!("{y:016x}"),
         },

@@ -18,8 +18,9 @@ use std::time::{Duration, Instant};
 
 use stabcon_exp::campaign::{run_campaign, RunConfig};
 use stabcon_exp::fabric::{
-    cancel_job, job_store_path, jobs_journal_path, query_status, run_worker_any, submit_campaign,
-    ChaosProxy, ChaosSpec, QueueServeConfig, QueueServer, SpecDescriptor, WorkerConfig,
+    cancel_job, job_store_path, jobs_journal_path, query_status, run_worker, run_worker_any,
+    submit_campaign, ChaosProxy, ChaosSpec, QueueServeConfig, QueueServer, SpecDescriptor,
+    WorkerConfig,
 };
 use stabcon_exp::store::Durability;
 use stabcon_exp::telemetry::timings_path;
@@ -219,6 +220,56 @@ fn two_campaigns_share_workers_and_stay_byte_identical() {
         std::fs::read(job_store_path(&out, 2)).expect("job 2 store"),
         ref_b,
         "job 2 store differs from the clean single-host run"
+    );
+    cleanup_queue(&out);
+}
+
+/// A `/1` worker against a queue daemon: a submitted job is finished by a
+/// plain `run_worker`, whose handshake fingerprint pins it to the job, and
+/// the job store is byte-identical to the single-host run.
+#[test]
+fn pinned_worker_finishes_a_submitted_job() {
+    let [da, _] = descriptors();
+    let reference = reference_bytes(&da, "pinned-ref");
+
+    let out = tmp("pinned");
+    cleanup_queue(&out);
+    let server = QueueServer::bind("127.0.0.1:0", &out).expect("bind queue daemon");
+    let addr = server.local_addr().expect("daemon addr").to_string();
+    let cfg = QueueServeConfig {
+        lease: Duration::from_secs(2),
+        exit_when_idle: true,
+        ..QueueServeConfig::default()
+    };
+    let serve_thread = std::thread::spawn(move || server.run(&cfg));
+
+    let sub = submit_with_retry(&addr, "lab", &da);
+    assert_eq!(sub.job, 1);
+    let spec = da.build().expect("descriptor builds");
+    let worker = run_worker(
+        &addr,
+        &spec,
+        &WorkerConfig {
+            threads: 2,
+            name: "pinned".into(),
+            ..WorkerConfig::default()
+        },
+    )
+    .expect("pinned worker");
+    assert_eq!(
+        worker.cells_run, sub.cells,
+        "the pinned worker ran the whole job"
+    );
+
+    let outcome = serve_thread
+        .join()
+        .expect("serve thread")
+        .expect("queue outcome");
+    assert_eq!((outcome.jobs, outcome.done), (1, 1));
+    assert_eq!(
+        std::fs::read(job_store_path(&out, 1)).expect("job 1 store"),
+        reference,
+        "job store finished by a /1 worker differs from the single-host run"
     );
     cleanup_queue(&out);
 }

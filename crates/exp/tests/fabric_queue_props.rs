@@ -15,9 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use stabcon_exp::fabric::{
-    JobQueue, JobState, JournalEvent, Parked, QueueConfig, SpecDescriptor,
-};
+use stabcon_exp::fabric::{JobQueue, JobState, JournalEvent, Parked, QueueConfig, SpecDescriptor};
 
 /// A descriptor that builds (smoke preset, tiny grid), plus its verified
 /// fingerprint hex — what a well-behaved client ships.

@@ -6,11 +6,13 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use stabcon_exp::campaign::{run_campaign, CampaignSpec, RunConfig};
-use stabcon_exp::fabric::{run_worker, Msg, ServeConfig, Server, WorkerConfig, FABRIC_SCHEMA};
+use stabcon_exp::fabric::{
+    run_worker, run_worker_any, Msg, ServeConfig, Server, WorkerConfig, FABRIC_SCHEMA,
+};
 use stabcon_exp::telemetry::{check_telemetry, timings_path};
 use stabcon_exp::InitSpec;
 use stabcon_util::jsonl::{get, parse_flat, JsonScalar};
@@ -24,6 +26,25 @@ fn tmp(tag: &str) -> PathBuf {
 fn cleanup(store: &PathBuf) {
     std::fs::remove_file(store).ok();
     std::fs::remove_file(timings_path(store)).ok();
+}
+
+/// A finished single-campaign run leaves exactly the store and its
+/// timings sidecar next to it: no jobs journal, no `<store>.job-N.jsonl`.
+fn assert_only_store_and_timings(store: &Path) {
+    let name = |p: &Path| {
+        p.file_name()
+            .expect("file name")
+            .to_string_lossy()
+            .into_owned()
+    };
+    let mut left: Vec<String> = std::fs::read_dir(store.parent().expect("store dir"))
+        .expect("read store dir")
+        .filter_map(|entry| entry.ok())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|file| file.starts_with(&name(store)))
+        .collect();
+    left.sort();
+    assert_eq!(left, vec![name(store), name(&timings_path(store))]);
 }
 
 /// 4 quick cells.
@@ -164,6 +185,7 @@ fn serve_survives_killed_and_hung_workers() {
     // The ingested telemetry stream satisfies the telemetry schema.
     let check = check_telemetry(&sink).expect("valid serve telemetry sink");
     assert!(check.cell_profiles >= 4, "one profile per ingested cell");
+    assert_only_store_and_timings(&store);
 
     cleanup(&reference_path);
     cleanup(&store);
@@ -341,6 +363,18 @@ fn serve_resumes_a_partial_store() {
     };
     let server_thread = std::thread::spawn(move || server.run(&cfg));
 
+    // A single-campaign daemon has no descriptor to ship in a Lease2, so
+    // any-campaign (`/2`) sessions are refused at the handshake.
+    let err = run_worker_any(
+        &addr,
+        &WorkerConfig {
+            retries: 0,
+            ..WorkerConfig::default()
+        },
+    )
+    .unwrap_err();
+    assert!(err.contains("rejected") && err.contains("--queue"), "{err}");
+
     let outcome = run_worker(&addr, &spec, &WorkerConfig::default()).expect("worker");
     assert_eq!(outcome.cells_run, 2, "only the missing cells are leased");
 
@@ -355,6 +389,7 @@ fn serve_resumes_a_partial_store() {
         std::fs::read(&reference_path).expect("read reference"),
         "resumed serve store differs from the single-host store"
     );
+    assert_only_store_and_timings(&store);
 
     cleanup(&store);
     cleanup(&reference_path);

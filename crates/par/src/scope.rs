@@ -186,14 +186,30 @@ mod tests {
 
     #[test]
     fn map_runs_on_multiple_threads() {
-        // With enough items and blocking-free work, at least 2 distinct
-        // thread ids should participate (flaky-proof: we only require > 1
-        // when the machine has > 1 CPU).
+        // At least 2 distinct thread ids must participate (only checked
+        // when the machine has > 1 CPU). Trivial items would let one
+        // worker drain every chunk before a second thread starts, so each
+        // item waits until a second thread has run one — generously
+        // bounded, so a broken pool fails the assertion instead of hanging.
         if super::super::default_threads() < 2 {
             return;
         }
+        let first = std::sync::Mutex::new(None);
+        let second_ran = std::sync::atomic::AtomicBool::new(false);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let items: Vec<u64> = (0..100_000).collect();
-        let ids = par_map(4, &items, |_| std::thread::current().id());
+        let ids = par_map(4, &items, |_| {
+            let me = std::thread::current().id();
+            if *first.lock().unwrap().get_or_insert(me) != me {
+                second_ran.store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+            while !second_ran.load(std::sync::atomic::Ordering::SeqCst)
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+            me
+        });
         let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
         assert!(distinct.len() > 1, "work never parallelized");
     }
